@@ -9,7 +9,7 @@
 //
 // Usage (from the repository root; run.sh builds and invokes this):
 //
-//	perfbench -workload eval-rgb -seed 1 -seconds 20 -trace 0
+//	perfbench -workload eval-rgb -seed 1 -seconds 24 -trace 0
 //
 // The last line of standard output is one JSON object:
 // {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}.
@@ -52,7 +52,7 @@ func main() {
 	var (
 		workload = flag.String("workload", "", "eval-rgb | eval-silhouette | serve-rpc")
 		seed     = flag.Int64("seed", 1, "workload seed: fixes the corpus and the request mix")
-		seconds  = flag.Float64("seconds", 20, "measured seconds per run")
+		seconds  = flag.Float64("seconds", 24, "measured seconds per run")
 		trace    = flag.Int("trace", 0, "0 measures end to end; 1 runs the traced layer replay")
 		state    = flag.String("state", ".perfbench", "scratch directory for the corpus and span dumps")
 	)

@@ -3,7 +3,7 @@
 # cache, the generated corpus and the span dumps under .perfbench/ in
 # the checkout. Arguments pass through to the benchmark binary:
 #
-#   bash perfbench/run.sh --workload eval-rgb --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload eval-rgb --seed 1 --seconds 24 --trace 0
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
