@@ -32,6 +32,7 @@ test:
 
 race:
 	go test -race -timeout 45m ./internal/extract/ ./internal/bayes/ ./internal/dbn/ ./internal/track/ ./internal/parallel/ ./internal/obs/ ./internal/serve/ .
+	go test -race -count=10 ./internal/parallel/
 
 # Full race sweep — every package, including the parallel engine's golden
 # tests. Slower than `race`; run before merging concurrency changes.

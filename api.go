@@ -234,6 +234,7 @@ type frameScratch struct {
 // newFrameScratch acquires the arenas. They stay with the System for its
 // lifetime; a System has no Close, so they are recycled by the GC rather
 // than returned to the arena pools.
+//
 //slj:hotpath
 func newFrameScratch() *frameScratch {
 	//slj:pool-escapes the arenas live for the owning System's lifetime
@@ -241,6 +242,7 @@ func newFrameScratch() *frameScratch {
 }
 
 // skeletonInto returns the reused w×h rasterisation target, zeroed.
+//
 //slj:hotpath
 func (fs *frameScratch) skeletonInto(w, h int) *imaging.Binary {
 	if fs.skeleton == nil {
@@ -255,6 +257,7 @@ func (fs *frameScratch) skeletonInto(w, h int) *imaging.Binary {
 // the imaging pool and records sil as the new outstanding one. Only
 // extractor-owned silhouettes may pass through here — never dataset-owned
 // ground-truth masks.
+//
 //slj:hotpath
 func (fs *frameScratch) retire(sil *imaging.Binary) {
 	if fs.prevSil != nil {
@@ -314,6 +317,7 @@ func (s *System) SetBackground(bg *imaging.RGB) { s.extractor.SetBackground(bg) 
 // AnalyzeSilhouette runs the configured skeleton front end (Section 3 +
 // feature encoding, or the GA stick-model fit) on an already-extracted
 // silhouette.
+//
 //slj:hotpath
 func (s *System) AnalyzeSilhouette(sil *imaging.Binary) FrameAnalysis {
 	fa := FrameAnalysis{
@@ -442,6 +446,7 @@ func (s *System) analyzeGA(fa FrameAnalysis, sil *imaging.Binary) FrameAnalysis 
 
 // AnalyzeFrame extracts the silhouette from an RGB frame (requires
 // SetBackground first) and runs the skeleton front end on it.
+//
 //slj:hotpath
 func (s *System) AnalyzeFrame(frame *imaging.RGB) (FrameAnalysis, error) {
 	sil, err := s.extractor.Extract(frame)

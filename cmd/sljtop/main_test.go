@@ -42,7 +42,7 @@ func TestOnceAgainstLiveEndpoint(t *testing.T) {
 	defer smp.Stop()
 	smp.Tick()
 
-	srv, err := obs.Serve("127.0.0.1:0", reg, smp)
+	srv, err := obs.ServeWith("127.0.0.1:0", obs.ServeConfig{Registry: reg, Sampler: smp})
 	if err != nil {
 		t.Fatal(err)
 	}

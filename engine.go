@@ -24,8 +24,8 @@ import (
 // previous frame's pose — so every clip is still decoded serially by one
 // worker, and training consumes clip sequences in their original order.
 // Results are therefore bit-identical to the sequential System methods
-// regardless of worker count, and workers == 1 routes through the
-// unchanged sequential code paths.
+// regardless of worker count; every worker count, one included, runs the
+// same fan-out path (see fanOut).
 //
 // Each worker owns a private extractor (extract.Extractor carries scratch
 // buffers and is not safe for concurrent use) but all workers share one
@@ -74,12 +74,7 @@ func NewEngineFrom(sys *System, workers int) (*Engine, error) {
 	for _, s := range e.systems {
 		e.free <- s
 	}
-	if sc := e.scope; sc != nil {
-		// Hand the worker-pool instrument block to internal/parallel and
-		// publish the starting pool occupancy.
-		parallel.SetStats(sc.Parallel())
-		sc.PoolFree(len(e.free))
-	}
+	e.scope.PoolFree(len(e.free))
 	return e, nil
 }
 
@@ -137,40 +132,32 @@ func (e *Engine) attachSource(src dataset.ClipSource) {
 	}
 }
 
-// pullFrom wraps a source's Next with stall accounting: the time a
-// worker spends inside Next (the serialised pull, including any header
-// decode the source does there) accumulates in engine.source_stall_ns.
-func (e *Engine) pullFrom(src dataset.ClipSource) func() (dataset.LabeledClip, error) {
+// pull wraps a source's Next for MapSource. The time a worker spends
+// inside Next (the serialised pull, including any header decode the
+// source does there) accumulates in engine.source_stall_ns. A failed
+// pull is classified and journalled, then carries the package's error
+// prefix, as System's sequential methods report it: a source error
+// surfaces as fmt.Errorf("slj: %w", err) at every worker count. io.EOF
+// passes through untouched — it terminates MapSource, it is not a
+// failure.
+func (e *Engine) pull(src dataset.ClipSource) func() (dataset.LabeledClip, error) {
 	sc := e.scope
-	if sc == nil {
-		return src.Next
-	}
 	return func() (dataset.LabeledClip, error) {
-		t0 := time.Now()
+		var t0 time.Time
+		if sc != nil {
+			t0 = time.Now()
+		}
 		lc, err := src.Next()
-		sc.SourceStall(time.Since(t0))
-		if err != nil && err != io.EOF {
-			// A failed pull aborts the run (unless the source skips, see
-			// dataset.SkipCorrupt); classify and journal it either way.
-			sc.RecordError(errClassOf(err), err)
+		if sc != nil {
+			sc.SourceStall(time.Since(t0))
 		}
-		return lc, err
-	}
-}
-
-// pullWrapped is pullFrom with the package's error prefix applied to
-// failed pulls, matching what the sequential delegates report: a source
-// error surfaces as fmt.Errorf("slj: %w", err) regardless of worker
-// count. io.EOF passes through untouched — it terminates MapSource, it
-// is not a failure.
-func (e *Engine) pullWrapped(src dataset.ClipSource) func() (dataset.LabeledClip, error) {
-	pull := e.pullFrom(src)
-	return func() (dataset.LabeledClip, error) {
-		lc, err := pull()
-		if err != nil && err != io.EOF {
-			return lc, fmt.Errorf("slj: %w", err)
+		if err == nil || err == io.EOF {
+			return lc, err
 		}
-		return lc, err
+		// A failed pull aborts the run (unless the source skips, see
+		// dataset.SkipCorrupt); classify and journal it either way.
+		sc.RecordError(errClassOf(err), err)
+		return lc, fmt.Errorf("slj: %w", err)
 	}
 }
 
@@ -184,51 +171,22 @@ func (e *Engine) trackClip() func() {
 	return func() { e.inflight.Add(-1) }
 }
 
-// seqTracked wraps a source for the engine's sequential (workers <= 1)
-// delegates so they share the parallel path's accounting: each pull is
-// timed into engine.source_stall_ns, and the clip stays checked out —
-// counted in engine.clips_in_flight — until the next pull replaces it.
-// The gauge therefore reads the true single-clip residency of the
-// sequential path rather than zero.
-type seqTracked struct {
-	src     dataset.ClipSource
-	e       *Engine
-	pull    func() (dataset.LabeledClip, error)
-	checkin func()
-}
-
-func (e *Engine) seqSource(src dataset.ClipSource) *seqTracked {
-	return &seqTracked{src: src, e: e, pull: e.pullFrom(src)}
-}
-
-func (t *seqTracked) Next() (dataset.LabeledClip, error) {
-	if t.checkin != nil {
-		t.checkin()
-		t.checkin = nil
-	}
-	lc, err := t.pull()
-	if err != nil {
-		return lc, err
-	}
-	t.checkin = t.e.trackClip()
-	return lc, nil
-}
-
-// settle fires the pending checkin, if any. Next normally checks the
-// previous clip back in on the following pull; when the consumer aborts
-// early — a classify error, or Close before io.EOF — the last clip would
-// otherwise stay checked out forever, skewing the inflight accounting a
-// long-lived engine's admission control reads.
-func (t *seqTracked) settle() {
-	if t.checkin != nil {
-		t.checkin()
-		t.checkin = nil
-	}
-}
-
-func (t *seqTracked) Close() error {
-	t.settle()
-	return t.src.Close()
+// fanOut is the engine's one fan-out path, used at every worker count:
+// it maps fn over every clip the source yields on parallel.MapSource and
+// returns the results in source order. Each clip is checked out —
+// counted in engine.clips_in_flight — while fn runs on a worker System
+// taken from the pool, so at most `workers` decoded clips are resident
+// and the checkout count returns to zero on every exit path. The source
+// is consumed to io.EOF (or the first failure) but not closed.
+func fanOut[R any](e *Engine, src dataset.ClipSource, fn func(s *System, lc dataset.LabeledClip) (R, error)) ([]R, error) {
+	e.attachSource(src)
+	return parallel.MapSource(e.scope.Parallel(), e.workers, e.pull(src),
+		func(_ int, lc dataset.LabeledClip) (R, error) {
+			defer e.trackClip()()
+			s := e.acquire()
+			defer e.release(s)
+			return fn(s, lc)
+		})
 }
 
 // Train trains the shared classifier on every clip, materialised-slice
@@ -248,32 +206,22 @@ func (e *Engine) Train(clips []dataset.LabeledClip) error {
 // sequence order. The trained model is byte-identical to System.Train's
 // on the same clips. The source is consumed to io.EOF but not closed.
 func (e *Engine) TrainSource(src dataset.ClipSource) error {
-	e.attachSource(src)
-	if e.workers <= 1 {
-		ts := e.seqSource(src)
-		defer ts.settle()
-		return e.sys.TrainSource(ts)
-	}
 	type clipSeq struct {
 		name   string
 		frames []dbn.LabeledFrame
 	}
-	seqs, err := parallel.MapSource(e.workers, e.pullWrapped(src),
-		func(_ int, lc dataset.LabeledClip) (clipSeq, error) {
-			defer e.trackClip()()
-			s := e.acquire()
-			defer e.release(s)
-			defer s.observeClip(lc.Name)()
-			fas, err := s.analyzeClip(lc)
-			if err != nil {
-				return clipSeq{}, err
-			}
-			frames := make([]dbn.LabeledFrame, len(fas))
-			for j, fa := range fas {
-				frames[j] = dbn.LabeledFrame{Label: lc.Clip.Frames[j].Label, Enc: fa.Encoding}
-			}
-			return clipSeq{name: lc.Name, frames: frames}, nil
-		})
+	seqs, err := fanOut(e, src, func(s *System, lc dataset.LabeledClip) (clipSeq, error) {
+		defer s.observeClip(lc.Name)()
+		fas, err := s.analyzeClip(lc)
+		if err != nil {
+			return clipSeq{}, err
+		}
+		frames := make([]dbn.LabeledFrame, len(fas))
+		for j, fa := range fas {
+			frames[j] = dbn.LabeledFrame{Label: lc.Clip.Frames[j].Label, Enc: fa.Encoding}
+		}
+		return clipSeq{name: lc.Name, frames: frames}, nil
+	})
 	if err != nil {
 		return err
 	}
@@ -309,23 +257,13 @@ type clipScore struct {
 // afterwards, so the output matches System.Evaluate over the same clips
 // exactly. The source is consumed to io.EOF but not closed.
 func (e *Engine) EvaluateSource(src dataset.ClipSource) (stats.Summary, *stats.Confusion, error) {
-	e.attachSource(src)
-	if e.workers <= 1 {
-		ts := e.seqSource(src)
-		defer ts.settle()
-		return e.sys.EvaluateSource(ts)
-	}
-	scores, err := parallel.MapSource(e.workers, e.pullWrapped(src),
-		func(_ int, lc dataset.LabeledClip) (clipScore, error) {
-			defer e.trackClip()()
-			s := e.acquire()
-			defer e.release(s)
-			res, err := s.ClassifyClip(lc)
-			if err != nil {
-				return clipScore{}, err
-			}
-			return clipScore{name: lc.Name, truth: lc.Clip.Labels(), preds: Poses(res)}, nil
-		})
+	scores, err := fanOut(e, src, func(s *System, lc dataset.LabeledClip) (clipScore, error) {
+		res, err := s.ClassifyClip(lc)
+		if err != nil {
+			return clipScore{}, err
+		}
+		return clipScore{name: lc.Name, truth: lc.Clip.Labels(), preds: Poses(res)}, nil
+	})
 	if err != nil {
 		return stats.Summary{}, nil, err
 	}
@@ -354,33 +292,7 @@ func (e *Engine) ClassifyAll(clips []dataset.LabeledClip) ([][]dbn.Result, error
 // pool, returning per-clip frame results in source order. The source is
 // consumed to io.EOF but not closed.
 func (e *Engine) ClassifyAllSource(src dataset.ClipSource) ([][]dbn.Result, error) {
-	e.attachSource(src)
-	if e.workers <= 1 {
-		ts := e.seqSource(src)
-		defer ts.settle()
-		var out [][]dbn.Result
-		for {
-			lc, err := ts.Next()
-			if err == io.EOF {
-				return out, nil
-			}
-			if err != nil {
-				return nil, fmt.Errorf("slj: %w", err)
-			}
-			res, err := e.sys.ClassifyClip(lc)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, res)
-		}
-	}
-	return parallel.MapSource(e.workers, e.pullWrapped(src),
-		func(_ int, lc dataset.LabeledClip) ([]dbn.Result, error) {
-			defer e.trackClip()()
-			s := e.acquire()
-			defer e.release(s)
-			return s.ClassifyClip(lc)
-		})
+	return fanOut(e, src, (*System).ClassifyClip)
 }
 
 // CheckedOut reports the number of source clips currently checked out by
@@ -402,10 +314,10 @@ func (e *Engine) PoolFree() int { return len(e.free) }
 func (e *Engine) ClassifyClip(lc dataset.LabeledClip) ([]dbn.Result, error) {
 	s := e.acquire()
 	defer e.release(s)
-	if e.workers <= 1 || s.opts.AutoOrient {
-		return s.ClassifyClip(lc)
+	if e.workers > 1 && !s.opts.AutoOrient {
+		return s.classifyClipPipelined(lc)
 	}
-	return s.classifyClipPipelined(lc)
+	return s.ClassifyClip(lc)
 }
 
 // SaveModel serialises the shared classifier bank.
@@ -447,7 +359,7 @@ func (s *System) classifyClipPipelined(lc dataset.LabeledClip) ([]dbn.Result, er
 		return nil, err
 	}
 	toks := make([]frameToken, len(lc.Clip.Frames))
-	out, err := parallel.Pipeline(pipelineBound, toks,
+	out, err := parallel.Pipeline(s.opts.Scope.Parallel(), pipelineBound, toks,
 		func(i int, t frameToken) (frameToken, error) {
 			sil, err := src(i)
 			if err != nil {

@@ -1,7 +1,6 @@
 package slj
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -116,73 +115,51 @@ func noBackgroundClip(t *testing.T, seed int64) dataset.LabeledClip {
 	}
 }
 
-// TestSequentialAbortChecksClipBackIn pins the seqTracked fix: when the
-// consumer aborts early on a classify error — or closes the source
-// before io.EOF — the last pulled clip must be checked back in, leaving
-// the engine's inflight accounting at zero. A long-lived server reads
-// that count for admission decisions, so a stuck checkout is a slow
-// capacity leak.
+// TestSequentialAbortChecksClipBackIn pins the abort path's checkout
+// accounting at every worker count: when a run aborts on a classify
+// error, every pulled clip must be checked back in and every worker
+// System returned to the pool, leaving the engine's inflight accounting
+// at zero. A long-lived server reads that count for admission
+// decisions, so a stuck checkout is a slow capacity leak.
 func TestSequentialAbortChecksClipBackIn(t *testing.T) {
-	eng, err := NewEngine(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := noBackgroundClip(t, 75)
-
-	t.Run("evaluate-error", func(t *testing.T) {
-		_, _, err := eng.EvaluateSource(dataset.Materialized([]dataset.LabeledClip{bad}))
-		if err == nil {
-			t.Fatal("clip without background evaluated without error")
-		}
-		if got := eng.CheckedOut(); got != 0 {
-			t.Fatalf("after aborted EvaluateSource: %d clips still checked out, want 0", got)
-		}
-	})
-
-	t.Run("classify-all-error", func(t *testing.T) {
-		_, err := eng.ClassifyAllSource(dataset.Materialized([]dataset.LabeledClip{bad}))
-		if err == nil {
-			t.Fatal("clip without background classified without error")
-		}
-		if got := eng.CheckedOut(); got != 0 {
-			t.Fatalf("after aborted ClassifyAllSource: %d clips still checked out, want 0", got)
-		}
-	})
-
-	t.Run("close-before-eof", func(t *testing.T) {
-		ts := eng.seqSource(dataset.Materialized([]dataset.LabeledClip{bad, bad}))
-		if _, err := ts.Next(); err != nil {
+	engines := map[int]*Engine{}
+	for _, workers := range []int{1, 2, 8} {
+		eng, err := NewEngine(workers)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := eng.CheckedOut(); got != 1 {
-			t.Fatalf("after Next: %d clips checked out, want 1", got)
-		}
-		if err := ts.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := eng.CheckedOut(); got != 0 {
-			t.Fatalf("after Close: %d clips still checked out, want 0", got)
-		}
-	})
-
-	t.Run("train-error", func(t *testing.T) {
-		err := eng.TrainSource(dataset.Materialized([]dataset.LabeledClip{bad}))
-		if err == nil {
-			t.Fatal("clip without background trained without error")
-		}
-		if got := eng.CheckedOut(); got != 0 {
-			t.Fatalf("after aborted TrainSource: %d clips still checked out, want 0", got)
-		}
-	})
-
-	// EOF without error must stay balanced too (the pre-existing path).
-	t.Run("clean-eof", func(t *testing.T) {
-		ts := eng.seqSource(dataset.Materialized(nil))
-		if _, err := ts.Next(); err != io.EOF {
-			t.Fatalf("Next = %v, want io.EOF", err)
-		}
-		if got := eng.CheckedOut(); got != 0 {
-			t.Fatalf("after EOF: %d clips checked out, want 0", got)
-		}
-	})
+		engines[workers] = eng
+	}
+	runs := []struct {
+		name string
+		run  func(*Engine, dataset.ClipSource) error
+	}{
+		{"evaluate-error", func(e *Engine, src dataset.ClipSource) error {
+			_, _, err := e.EvaluateSource(src)
+			return err
+		}},
+		{"classify-all-error", func(e *Engine, src dataset.ClipSource) error {
+			_, err := e.ClassifyAllSource(src)
+			return err
+		}},
+		{"train-error", (*Engine).TrainSource},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			for _, workers := range []int{1, 2, 8} {
+				eng := engines[workers]
+				err := r.run(eng, dataset.Materialized([]dataset.LabeledClip{bad, bad, bad}))
+				if err == nil {
+					t.Fatalf("workers=%d: clip without background ran without error", workers)
+				}
+				if got := eng.CheckedOut(); got != 0 {
+					t.Fatalf("workers=%d: %d clips still checked out after the abort, want 0", workers, got)
+				}
+				if got := eng.PoolFree(); got != workers {
+					t.Fatalf("workers=%d: %d worker Systems free after the abort, want %d", workers, got, workers)
+				}
+			}
+		})
+	}
 }

@@ -355,3 +355,25 @@ func TestEngineTrainRequiresClips(t *testing.T) {
 		t.Error("empty training set accepted")
 	}
 }
+
+// TestEngineStatsStayWithTheirScope pins that an engine's worker-pool
+// instruments (parallel.*) count only that engine's work: training an
+// uninstrumented engine after an instrumented one was built must leave
+// the instrumented scope's parallel.items where it was.
+func TestEngineStatsStayWithTheirScope(t *testing.T) {
+	scope := obs.NewScope(obs.NewRegistry())
+	if _, err := NewEngine(2, WithObservability(scope)); err != nil {
+		t.Fatal(err)
+	}
+	before := scope.Parallel().Items.Value()
+	plain, err := NewEngine(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Train(smallDataset(t, 64).Train); err != nil {
+		t.Fatal(err)
+	}
+	if got := scope.Parallel().Items.Value(); got != before {
+		t.Errorf("parallel.items of an idle instrumented engine moved %d -> %d while another engine trained", before, got)
+	}
+}

@@ -15,7 +15,7 @@
 //     captured slices through an index that is provably disjoint per
 //     goroutine (the index is closure-local, or a per-iteration loop
 //     variable that is never mutated outside the closure — the
-//     out[i] = r pattern used by parallel.MapOrdered). Bumping a shared
+//     out[i] = r pattern used by parallel.MapSource). Bumping a shared
 //     obs instrument (st.Items.Inc(), counter.Add(n)) is the sanctioned
 //     way to aggregate across workers: it is a method call on an atomic,
 //     not an assignment, so it never trips these checks.

@@ -107,7 +107,7 @@ func racyMap(items []string) map[string]int {
 
 // --- goroutine shared writes: clean ---------------------------------
 
-// indexDisjoint is the parallel.MapOrdered pattern: every goroutine owns
+// indexDisjoint is the index-disjoint fan-out pattern: every goroutine owns
 // the element at its per-iteration loop index.
 func indexDisjoint(items []int) []int {
 	out := make([]int, len(items))
@@ -124,7 +124,7 @@ func indexDisjoint(items []int) []int {
 }
 
 // closureLocalIndex claims indices through a closure-local variable fed
-// by an atomic counter, like the worker loop in parallel.MapOrdered.
+// by an atomic counter, like an index-claiming worker loop.
 func closureLocalIndex(items []int) []int {
 	out := make([]int, len(items))
 	var wg sync.WaitGroup

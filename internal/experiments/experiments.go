@@ -55,8 +55,9 @@ type Config struct {
 // DefaultConfig returns the standard experiment configuration.
 func DefaultConfig() Config { return Config{Seed: 2008} } // the paper's year
 
-// workersOrSequential resolves Config.Workers for slj.NewEngineFrom:
-// 0 (the default) pins the sequential single-worker path.
+// workersOrSequential resolves Config.Workers for slj.NewEngine: 0 (the
+// default) pins one worker. Results are identical at every worker
+// count, so the default only keeps a run single-threaded.
 func (c Config) workersOrSequential() int {
 	if c.Workers == 0 {
 		return 1

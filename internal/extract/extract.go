@@ -93,10 +93,10 @@ type Extractor struct {
 
 	// Scratch reused across frames so steady-state extraction allocates
 	// only its final silhouette.
-	aAve *imaging.RGB            // step-ii moving average of the input frame
-	sat  []int64                 // summed-area tables backing aAve
-	crop *imaging.RGB            // ROI crop (ExtractInROI only)
-	d    []int                   // steps iii–iv absolute-difference sums
+	aAve *imaging.RGB             // step-ii moving average of the input frame
+	sat  []int64                  // summed-area tables backing aAve
+	crop *imaging.RGB             // ROI crop (ExtractInROI only)
+	d    []int                    // steps iii–iv absolute-difference sums
 	comp imaging.ComponentScratch // largest-component labelling state (Smooth)
 
 	// sc times the detect/smooth stages; nil disables.
@@ -219,6 +219,7 @@ func (e *Extractor) UpdateBackground(frame *imaging.RGB, objMask *imaging.Binary
 
 // Extract segments the moving object in frame, returning the smoothed
 // silhouette. The frame must match the background dimensions.
+//
 //slj:hotpath
 func (e *Extractor) Extract(frame *imaging.RGB) (*imaging.Binary, error) {
 	if err := e.check(frame); err != nil {
@@ -311,6 +312,7 @@ func (e *Extractor) extractRawInto(frame *imaging.RGB, out *imaging.Binary) {
 //
 // The result is a full-size silhouette with the ROI contents smoothed by
 // the configured post-processing.
+//
 //slj:hotpath
 func (e *Extractor) ExtractInROI(frame *imaging.RGB, roi imaging.Rect) (*imaging.Binary, error) {
 	if err := e.check(frame); err != nil {

@@ -179,7 +179,7 @@ func (c *CLI) Start() (*Scope, error) {
 		fmt.Fprintf(os.Stderr, "obs: metrics on http://%s/debug/metrics (expvar at /debug/vars, Prometheus at /debug/metrics.prom, series at /debug/timeseries, errors at /debug/errors, health at /debug/health)\n", s.Addr())
 	}
 	if c.Pprof != "" && c.Pprof != c.Metrics {
-		s, err := Serve(c.Pprof, nil, nil)
+		s, err := ServeWith(c.Pprof, ServeConfig{})
 		if err != nil {
 			c.shutdown()
 			return nil, err

@@ -39,11 +39,13 @@ func (s Stage) String() string {
 // nothing above it).
 const NumJumpStages = 4
 
-// ParallelStats is the instrument block shared with internal/parallel
-// (which cannot resolve metrics by name without dragging the registry
-// into its hot loop). All fields are updated lock-free.
+// ParallelStats is the instrument block internal/parallel's primitives
+// take as an argument (they cannot resolve metrics by name without
+// dragging the registry into their hot loops). All fields are updated
+// lock-free.
 type ParallelStats struct {
-	// Items counts work items claimed across MapOrdered/ForEach calls.
+	// Items counts work items handed to fn across MapSource calls, at
+	// every worker count.
 	Items Counter
 	// StallNS accumulates nanoseconds pipeline stages spent blocked on
 	// an empty input channel (downstream waiting for upstream).

@@ -49,12 +49,6 @@ type ServeConfig struct {
 	LogSink *LineSink
 }
 
-// Serve starts an HTTP server on addr exposing a registry and sampler;
-// the common pre-health call. See ServeWith for the full surface.
-func Serve(addr string, reg *Registry, smp *Sampler) (*Server, error) {
-	return ServeWith(addr, ServeConfig{Registry: reg, Sampler: smp})
-}
-
 // ServeWith starts an HTTP server on addr. When cfg.Registry is
 // non-nil its snapshot is served at /debug/metrics (JSON) and
 // /debug/metrics.prom (Prometheus) and published to expvar (so it also

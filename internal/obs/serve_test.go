@@ -36,7 +36,7 @@ func TestServePromAndTimeseries(t *testing.T) {
 	smp := NewSampler(reg, time.Second, 8)
 	smp.sample(reg.Snapshot(), time.Second)
 
-	srv, err := Serve("127.0.0.1:0", reg, smp)
+	srv, err := ServeWith("127.0.0.1:0", ServeConfig{Registry: reg, Sampler: smp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestServeCloseWaitsForInFlightScrape(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 		return 42
 	})
-	srv, err := Serve("127.0.0.1:0", reg, nil)
+	srv, err := ServeWith("127.0.0.1:0", ServeConfig{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,18 @@
 // Package parallel provides the small concurrency substrate the pipeline
-// is parallelised with: a worker pool whose results come back in input
-// order (MapOrdered), its streaming counterpart over a pull source of
-// unknown length (MapSource) and a bounded-channel stage pipeline
-// (Pipeline).
+// is parallelised with: a bounded worker pool over a pull source of
+// unknown length whose results come back in pull order (MapSource), and
+// a bounded-channel stage pipeline (Pipeline).
 //
-// Both primitives are deterministic by construction: MapOrdered returns
-// results indexed exactly like its input and, on failure, reports the
+// Both primitives are deterministic by construction: MapSource returns
+// results indexed exactly like its pulls and, on failure, reports the
 // error of the LOWEST failing index (the error the sequential loop would
 // have hit first); Pipeline runs every stage as a single goroutine over a
-// FIFO channel, so items traverse stages strictly in order. Callers that
-// pass workers <= 1 get a plain inline loop — byte-identical behaviour to
-// the pre-parallel code path, with no goroutines spawned.
+// FIFO channel, so items traverse stages strictly in order. MapSource
+// runs the same worker body at every worker count, so one worker gives
+// the sequential result through the code path that many workers take.
+//
+// Both take an *obs.ParallelStats instrument block; nil disables it and
+// keeps every hot loop on the uninstrumented path.
 package parallel
 
 import (
@@ -18,6 +20,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // Workers resolves a worker-count request: values >= 1 are returned as
@@ -29,121 +34,23 @@ func Workers(n int) int {
 	return runtime.NumCPU()
 }
 
-// MapOrdered applies fn to every item on a pool of `workers` goroutines
-// (resolved via Workers) and returns the results in input order. When the
-// resolved worker count is 1 — or there is at most one item — fn runs
-// inline on the calling goroutine, one item at a time, preserving the
-// exact sequential code path.
-//
-// On error the remaining items are abandoned as soon as possible and the
-// error of the lowest failing index is returned, matching what a
-// sequential loop over the same items would report.
-func MapOrdered[T, R any](workers int, items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	out := make([]R, len(items))
-	w := Workers(workers)
-	if w > len(items) {
-		w = len(items)
-	}
-	st := stats.Load()
-	if w <= 1 {
-		for i, item := range items {
-			if st != nil {
-				st.Items.Inc()
-			}
-			r, err := fn(i, item)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	if st != nil {
-		st.Workers.Max(int64(w))
-	}
-
-	var (
-		next   atomic.Int64 // next item index to claim
-		stop   atomic.Bool  // set once any worker fails
-		mu     sync.Mutex
-		errIdx = -1
-		firstE error
-		wg     sync.WaitGroup
-	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if errIdx < 0 || i < errIdx {
-			errIdx, firstE = i, err
-		}
-		mu.Unlock()
-		stop.Store(true)
-	}
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) || stop.Load() {
-					return
-				}
-				if st != nil {
-					st.Items.Inc()
-				}
-				r, err := fn(i, items[i])
-				if err != nil {
-					fail(i, err)
-					return
-				}
-				out[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	if errIdx >= 0 {
-		return nil, firstE
-	}
-	return out, nil
-}
-
-// MapSource is MapOrdered over a stream whose length is unknown up
-// front: next is pulled serially (each call guarded by an internal
+// MapSource applies fn to every item next yields, on a pool of `workers`
+// goroutines (resolved via Workers), and returns the results indexed in
+// pull order. next is pulled serially (each call guarded by an internal
 // lock, so sources need no locking of their own) and returns io.EOF
-// after the last item; fn fans out over `workers` goroutines; results
-// come back indexed in pull order. At most `workers` items are checked
-// out — pulled but not yet mapped — at any moment, so a source that
-// materialises state per item (e.g. a decoded video clip) is bounded to
-// worker-count live items instead of the whole stream.
+// after the last item. At most `workers` items are checked out — pulled
+// but not yet mapped — at any moment, so a source that materialises
+// state per item (e.g. a decoded video clip) is bounded to worker-count
+// live items instead of the whole stream.
 //
-// Determinism matches MapOrdered: a resolved worker count of 1 runs the
-// exact sequential pull-then-apply loop inline, and on failure the
-// error of the lowest failing index is returned — whether it came from
-// next or from fn — which is the error the sequential loop would have
-// hit first. After next returns an error the source is not pulled
-// again.
-func MapSource[T, R any](workers int, next func() (T, error), fn func(i int, item T) (R, error)) ([]R, error) {
+// On failure the remaining items are abandoned as soon as possible and
+// the error of the lowest failing index is returned — whether it came
+// from next or from fn — which is the error the sequential loop would
+// have hit first. After next returns an error the source is not pulled
+// again. st, when non-nil, counts the items handed to fn and the worker
+// high-water mark.
+func MapSource[T, R any](st *obs.ParallelStats, workers int, next func() (T, error), fn func(i int, item T) (R, error)) ([]R, error) {
 	w := Workers(workers)
-	st := stats.Load()
-	if w <= 1 {
-		var out []R
-		for i := 0; ; i++ {
-			item, err := next()
-			if err == io.EOF {
-				return out, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			if st != nil {
-				st.Items.Inc()
-			}
-			r, err := fn(i, item)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-	}
 	if st != nil {
 		st.Workers.Max(int64(w))
 	}
@@ -217,14 +124,6 @@ func MapSource[T, R any](workers int, next func() (T, error), fn func(i int, ite
 	return out, nil
 }
 
-// ForEach is MapOrdered for side-effecting work without a result value.
-func ForEach[T any](workers int, items []T, fn func(i int, item T) error) error {
-	_, err := MapOrdered(workers, items, func(i int, item T) (struct{}, error) {
-		return struct{}{}, fn(i, item)
-	})
-	return err
-}
-
 // token carries one item through a Pipeline together with its index.
 type token[T any] struct {
 	i int
@@ -246,8 +145,10 @@ type token[T any] struct {
 // past the failing index, and the failing item itself, are zero values).
 // Callers whose stage outputs own resources — pooled buffers, say —
 // must walk the partial results and release them; callers that only
-// want the values should ignore the slice when err != nil.
-func Pipeline[T any](bound int, items []T, stages ...func(i int, v T) (T, error)) ([]T, error) {
+// want the values should ignore the slice when err != nil. st, when
+// non-nil, records the stage count as the worker high-water mark, the
+// deepest stage backlog and the time stages spend starved of input.
+func Pipeline[T any](st *obs.ParallelStats, bound int, items []T, stages ...func(i int, v T) (T, error)) ([]T, error) {
 	if len(stages) == 0 || len(items) == 0 {
 		out := make([]T, len(items))
 		copy(out, items)
@@ -283,10 +184,9 @@ func Pipeline[T any](bound int, items []T, stages ...func(i int, v T) (T, error)
 	// One goroutine per stage. A stage that sees an item index at or
 	// beyond a recorded error index skips the work (the result can no
 	// longer matter) but keeps draining so upstream stages never block.
-	// With stats installed the receive is routed through recv (stall
-	// attribution) and the input backlog's high-water mark is kept;
-	// neither changes item order or stage behaviour.
-	st := stats.Load()
+	// With st set the receive is routed through recv (stall attribution)
+	// and the input backlog's high-water mark is kept; neither changes
+	// item order or stage behaviour.
 	if st != nil {
 		st.Workers.Max(int64(len(stages)))
 	}
@@ -333,4 +233,19 @@ func Pipeline[T any](bound int, items []T, stages ...func(i int, v T) (T, error)
 		return out, pipErr
 	}
 	return out, nil
+}
+
+// recv receives from src, attributing blocked time to st.StallNS. Only
+// time actually spent blocked counts: when a token is ready the fast
+// select path returns without reading the clock.
+func recv[T any](src <-chan token[T], st *obs.ParallelStats) (token[T], bool) {
+	select {
+	case t, ok := <-src:
+		return t, ok
+	default:
+	}
+	t0 := time.Now()
+	t, ok := <-src
+	st.StallNS.Add(time.Since(t0).Nanoseconds())
+	return t, ok
 }

@@ -7,6 +7,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 func TestWorkers(t *testing.T) {
@@ -21,74 +24,6 @@ func TestWorkers(t *testing.T) {
 	}
 	if got := Workers(-5); got != runtime.NumCPU() {
 		t.Fatalf("Workers(-5) = %d, want NumCPU %d", got, runtime.NumCPU())
-	}
-}
-
-func TestMapOrderedMatchesSequential(t *testing.T) {
-	items := make([]int, 257)
-	for i := range items {
-		items[i] = i * 3
-	}
-	sq := func(i, v int) (int, error) { return v*v + i, nil }
-	want, err := MapOrdered(1, items, sq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, 8, 64, 1000} {
-		got, err := MapOrdered(w, items, sq)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", w, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestMapOrderedEmpty(t *testing.T) {
-	out, err := MapOrdered(8, nil, func(i int, v int) (int, error) { return v, nil })
-	if err != nil || len(out) != 0 {
-		t.Fatalf("got %v, %v", out, err)
-	}
-}
-
-func TestMapOrderedLowestError(t *testing.T) {
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
-	// Items 7 and 40 both fail; the reported error must be item 7's
-	// regardless of scheduling.
-	for _, w := range []int{1, 2, 8} {
-		_, err := MapOrdered(w, items, func(i, v int) (int, error) {
-			if i == 7 || i == 40 {
-				return 0, fmt.Errorf("item %d failed", i)
-			}
-			return v, nil
-		})
-		if err == nil || err.Error() != "item 7 failed" {
-			t.Fatalf("workers=%d: err = %v, want item 7 failed", w, err)
-		}
-	}
-}
-
-func TestMapOrderedStopsEarly(t *testing.T) {
-	var calls atomic.Int64
-	items := make([]int, 10000)
-	_, err := MapOrdered(4, items, func(i, v int) (int, error) {
-		calls.Add(1)
-		if i == 0 {
-			return 0, errors.New("boom")
-		}
-		return v, nil
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if n := calls.Load(); n >= int64(len(items)) {
-		t.Fatalf("expected early stop, but all %d items ran", n)
 	}
 }
 
@@ -112,16 +47,15 @@ func TestMapSourceMatchesSequential(t *testing.T) {
 		items[i] = i * 3
 	}
 	sq := func(i, v int) (int, error) { return v*v + i, nil }
+	// The reference is a plain loop: every worker count, one included,
+	// runs the pool.
+	want := make([]int, len(items))
+	for i, v := range items {
+		want[i], _ = sq(i, v)
+	}
 	var pulls atomic.Int64
-	want, err := MapSource(1, sliceSource(items, &pulls), sq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(items) {
-		t.Fatalf("sequential yielded %d results, want %d", len(want), len(items))
-	}
-	for _, w := range []int{2, 4, 8, 64} {
-		got, err := MapSource(w, sliceSource(items, &pulls), sq)
+	for _, w := range []int{1, 2, 4, 8, 64} {
+		got, err := MapSource(nil, w, sliceSource(items, &pulls), sq)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -139,7 +73,7 @@ func TestMapSourceMatchesSequential(t *testing.T) {
 func TestMapSourceEmpty(t *testing.T) {
 	for _, w := range []int{1, 8} {
 		var pulls atomic.Int64
-		out, err := MapSource(w, sliceSource(nil, &pulls), func(i, v int) (int, error) { return v, nil })
+		out, err := MapSource(nil, w, sliceSource(nil, &pulls), func(i, v int) (int, error) { return v, nil })
 		if err != nil || len(out) != 0 {
 			t.Fatalf("workers=%d: got %v, %v", w, out, err)
 		}
@@ -153,7 +87,7 @@ func TestMapSourceLowestError(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, 8} {
 		var pulls atomic.Int64
-		_, err := MapSource(w, sliceSource(items, &pulls), func(i, v int) (int, error) {
+		_, err := MapSource(nil, w, sliceSource(items, &pulls), func(i, v int) (int, error) {
 			if i == 7 || i == 40 {
 				return 0, fmt.Errorf("item %d failed", i)
 			}
@@ -161,6 +95,32 @@ func TestMapSourceLowestError(t *testing.T) {
 		})
 		if err == nil || err.Error() != "item 7 failed" {
 			t.Fatalf("workers=%d: err = %v, want item 7 failed", w, err)
+		}
+	}
+}
+
+// TestMapSourceStopsEarly pins the abandon-on-failure contract: once fn
+// fails, workers stop pulling, so a failure on the first item leaves
+// almost all of a long stream untouched.
+func TestMapSourceStopsEarly(t *testing.T) {
+	items := make([]int, 10000)
+	for _, w := range []int{1, 4} {
+		var pulls, calls atomic.Int64
+		_, err := MapSource(nil, w, sliceSource(items, &pulls), func(i, v int) (int, error) {
+			calls.Add(1)
+			if i == 0 {
+				return 0, errors.New("boom")
+			}
+			return v, nil
+		})
+		if err == nil || err.Error() != "boom" {
+			t.Fatalf("workers=%d: err = %v, want boom", w, err)
+		}
+		if n := pulls.Load(); n > int64(len(items))/10 {
+			t.Fatalf("workers=%d: %d pulls after a failure on item 0, want early stop", w, n)
+		}
+		if n := calls.Load(); n > pulls.Load() {
+			t.Fatalf("workers=%d: %d calls from %d pulls", w, n, pulls.Load())
 		}
 	}
 }
@@ -178,7 +138,7 @@ func TestMapSourceSourceErrorStopsPulling(t *testing.T) {
 			}
 			return int(n), nil
 		}
-		_, err := MapSource(w, next, func(i, v int) (int, error) { return v, nil })
+		_, err := MapSource(nil, w, next, func(i, v int) (int, error) { return v, nil })
 		if err == nil || err.Error() != "source torn" {
 			t.Fatalf("workers=%d: err = %v, want source torn", w, err)
 		}
@@ -194,7 +154,7 @@ func TestMapSourceBoundsCheckouts(t *testing.T) {
 	const workers = 4
 	items := make([]int, 64)
 	var pulls, live, peak atomic.Int64
-	_, err := MapSource(workers, sliceSource(items, &pulls), func(i, v int) (int, error) {
+	_, err := MapSource(nil, workers, sliceSource(items, &pulls), func(i, v int) (int, error) {
 		n := live.Add(1)
 		for {
 			p := peak.Load()
@@ -214,26 +174,12 @@ func TestMapSourceBoundsCheckouts(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	items := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	var sum atomic.Int64
-	if err := ForEach(4, items, func(_ int, v int) error {
-		sum.Add(int64(v))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 36 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-}
-
 func TestPipelineOrderAndOverlap(t *testing.T) {
 	items := make([]int, 64)
 	for i := range items {
 		items[i] = i
 	}
-	out, err := Pipeline(4, items,
+	out, err := Pipeline(nil, 4, items,
 		func(_ int, v int) (int, error) { return v + 1, nil },
 		func(_ int, v int) (int, error) { return v * 2, nil },
 		func(_ int, v int) (int, error) { return v - 3, nil },
@@ -249,7 +195,7 @@ func TestPipelineOrderAndOverlap(t *testing.T) {
 }
 
 func TestPipelineNoStages(t *testing.T) {
-	out, err := Pipeline(2, []int{5, 6})
+	out, err := Pipeline(nil, 2, []int{5, 6})
 	if err != nil || len(out) != 2 || out[0] != 5 || out[1] != 6 {
 		t.Fatalf("got %v, %v", out, err)
 	}
@@ -257,7 +203,7 @@ func TestPipelineNoStages(t *testing.T) {
 
 func TestPipelineError(t *testing.T) {
 	items := make([]int, 50)
-	out, err := Pipeline(2, items,
+	out, err := Pipeline(nil, 2, items,
 		func(i int, v int) (int, error) {
 			if i == 30 {
 				return 0, errors.New("stage1 item 30")
@@ -296,7 +242,7 @@ func TestPipelineErrorPartialResults(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	out, err := Pipeline(2, items,
+	out, err := Pipeline(nil, 2, items,
 		func(i int, v int) (int, error) {
 			if i == 10 {
 				return 0, errors.New("boom")
@@ -324,6 +270,46 @@ func TestPipelineErrorPartialResults(t *testing.T) {
 	}
 }
 
+func TestMapSourceCountsItems(t *testing.T) {
+	st := &obs.ParallelStats{}
+	items := make([]int, 23)
+	for _, w := range []int{1, 4} {
+		before := st.Items.Value()
+		var pulls atomic.Int64
+		_, err := MapSource(st, w, sliceSource(items, &pulls), func(i int, v int) (int, error) { return i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Items.Value() - before; got != int64(len(items)) {
+			t.Errorf("workers=%d: claimed %d items, want %d", w, got, len(items))
+		}
+	}
+	if st.Workers.Value() != 4 {
+		t.Errorf("worker high-water = %d, want 4", st.Workers.Value())
+	}
+}
+
+func TestPipelineStallAccounting(t *testing.T) {
+	st := &obs.ParallelStats{}
+	// A slow first stage starves the second: the downstream stage must
+	// accumulate stall time while item order stays intact.
+	items := []int{0, 1, 2, 3}
+	slow := func(i int, v int) (int, error) { time.Sleep(2 * time.Millisecond); return v * 10, nil }
+	fast := func(i int, v int) (int, error) { return v + 1, nil }
+	out, err := Pipeline(st, 2, items, slow, fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range out {
+		if v != i*10+1 {
+			t.Errorf("out[%d] = %d, want %d", i, v, i*10+1)
+		}
+	}
+	if st.StallNS.Value() <= 0 {
+		t.Errorf("stall_ns = %d, want > 0 (fast stage starved by slow stage)", st.StallNS.Value())
+	}
+}
+
 func TestPipelineStatefulStage(t *testing.T) {
 	// A stage is a single goroutine, so per-stage state needs no locking
 	// and observes items strictly in order.
@@ -332,7 +318,7 @@ func TestPipelineStatefulStage(t *testing.T) {
 		items[i] = 1
 	}
 	running := 0
-	out, err := Pipeline(3, items, func(i int, v int) (int, error) {
+	out, err := Pipeline(nil, 3, items, func(i int, v int) (int, error) {
 		running += v // cumulative sum: depends on strict ordering
 		return running, nil
 	})

@@ -589,7 +589,11 @@ func (s *Server) evaluateCorpus(params json.RawMessage, budget int) (any, *apiEr
 		name         string
 		truth, preds []slj.Pose
 	}
-	outs, err := parallel.MapSource(budget, src.Next,
+	var st *obs.ParallelStats
+	if s.cfg.Obs != nil {
+		st = s.cfg.Obs.Scope.Parallel()
+	}
+	outs, err := parallel.MapSource(st, budget, src.Next,
 		func(_ int, lc dataset.LabeledClip) (clipOut, error) {
 			res, cerr := eng.ClassifyClip(lc)
 			if cerr != nil {

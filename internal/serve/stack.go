@@ -29,8 +29,6 @@ type StackConfig struct {
 	// LogLevel is the minimum log level (debug|info|warn|error); empty
 	// means info.
 	LogLevel string
-	// SLOs overrides the health objectives; nil means obs.DefaultSLOs.
-	SLOs []obs.SLOSpec
 }
 
 // Stack is the assembled bundle. All fields are non-nil after NewStack
@@ -52,10 +50,6 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	if cfg.SampleWindow <= 0 {
 		cfg.SampleWindow = 300
 	}
-	specs := cfg.SLOs
-	if specs == nil {
-		specs = obs.DefaultSLOs()
-	}
 	st := &Stack{Scope: obs.NewScope(obs.NewRegistry())}
 	st.Journal = obs.NewJournal(st.Scope.Registry(), 256)
 	st.Scope.SetJournal(st.Journal)
@@ -76,7 +70,7 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 		st.Scope.SetLogger(slog.New(obs.NewLogHandler(st.Sink, obs.LogOptions{Level: level})))
 	}
 	st.Sampler = obs.NewSampler(st.Scope.Registry(), cfg.SampleInterval, cfg.SampleWindow)
-	h, err := obs.NewHealthEvaluator(st.Scope.Registry(), st.Sampler, st.Journal, specs)
+	h, err := obs.NewHealthEvaluator(st.Scope.Registry(), st.Sampler, st.Journal, obs.DefaultSLOs())
 	if err != nil {
 		_ = st.Sink.Close()
 		return nil, err

@@ -302,6 +302,7 @@ func Build(skel *imaging.Binary, opts ...Option) (*Graph, error) {
 // the graph); with a scratch the returned graph and everything reachable
 // from it live inside the arena and are valid only until the next
 // BuildScratch call on the same arena.
+//
 //slj:hotpath
 func BuildScratch(skel *imaging.Binary, sc *Scratch, opts ...Option) (*Graph, error) {
 	o := Options{

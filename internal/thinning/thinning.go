@@ -66,6 +66,7 @@ func ThinInto(dst *imaging.Binary, src *imaging.Binary, alg Algorithm) *imaging.
 // counter — a jump in passes-per-frame flags silhouettes much thicker
 // than the extractor normally emits. MedialAxis is not iterative and
 // reports 1.
+//
 //slj:hotpath
 func ThinIntoCounted(dst *imaging.Binary, src *imaging.Binary, alg Algorithm) (*imaging.Binary, int) {
 	if dst == nil {

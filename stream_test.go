@@ -101,6 +101,15 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			t.Errorf("workers=%d: dataset.clips_streamed = %d, want %d",
 				workers, counters["dataset.clips_streamed"], want)
 		}
+		// Every worker count takes the one fan-out path, so each streamed
+		// clip is one parallel item and every checkout is returned.
+		if want := int64(len(loaded.Train) + len(loaded.Test)); counters["parallel.items"] != want {
+			t.Errorf("workers=%d: parallel.items = %d, want %d (one per clip streamed)",
+				workers, counters["parallel.items"], want)
+		}
+		if got := eng.CheckedOut(); got != 0 {
+			t.Errorf("workers=%d: %d clips still checked out, want 0", workers, got)
+		}
 		peak := gauges["engine.clips_in_flight"]
 		if peak < 1 || peak > int64(workers) {
 			t.Errorf("workers=%d: peak clips in flight = %d, want in [1,%d]", workers, peak, workers)
