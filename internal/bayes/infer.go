@@ -21,76 +21,6 @@ func (n *Network) validateEvidence(ev Evidence) error {
 	return nil
 }
 
-// Posterior computes P(query | evidence) exactly, by enumeration over all
-// hidden variables. Cost is exponential in the number of hidden variables;
-// the pose networks have at most a handful, so this is the reference
-// engine (PosteriorVE is the fast one and is cross-checked against this in
-// tests). It returns a distribution over the query variable's states.
-func (n *Network) Posterior(query int, ev Evidence) ([]float64, error) {
-	if query < 0 || query >= len(n.nodes) {
-		return nil, fmt.Errorf("%w: query %d", ErrBadNode, query)
-	}
-	if err := n.validateEvidence(ev); err != nil {
-		return nil, err
-	}
-	assignment := make([]int, len(n.nodes))
-	for i := range assignment {
-		assignment[i] = -1
-	}
-	for node, state := range ev {
-		assignment[node] = state
-	}
-	// Hidden variables (everything unassigned, including the query).
-	var hidden []int
-	for i, s := range assignment {
-		if s == -1 {
-			hidden = append(hidden, i)
-		}
-	}
-	dist := make([]float64, n.nodes[query].States)
-	if qs, observed := ev[query]; observed {
-		dist[qs] = 1
-		return dist, nil
-	}
-
-	var total float64
-	var enumerateJoint func(k int)
-	enumerateJoint = func(k int) {
-		if k == len(hidden) {
-			p := 1.0
-			for i := range n.nodes {
-				row, _ := n.parentConfig(i, assignment)
-				p *= n.Prob(i, row, assignment[i])
-				if p == 0 {
-					return
-				}
-			}
-			dist[assignment[query]] += p
-			total += p
-			return
-		}
-		node := hidden[k]
-		for s := 0; s < n.nodes[node].States; s++ {
-			assignment[node] = s
-			enumerateJoint(k + 1)
-		}
-		assignment[node] = -1
-	}
-	enumerateJoint(0)
-
-	if total == 0 {
-		// Evidence has zero probability; return uniform as a safe answer.
-		for s := range dist {
-			dist[s] = 1 / float64(len(dist))
-		}
-		return dist, nil
-	}
-	for s := range dist {
-		dist[s] /= total
-	}
-	return dist, nil
-}
-
 // factor is an intermediate table over a set of variables, used by
 // variable elimination.
 type factor struct {
@@ -223,8 +153,11 @@ func sumOut(f *factor, v int, states func(int) int) *factor {
 }
 
 // PosteriorVE computes P(query | evidence) by variable elimination with a
-// min-degree-style ordering (fewest-factors-first). Exact; asymptotically
-// much faster than enumeration on chain- and tree-like networks.
+// min-degree-style ordering (fewest-factors-first, ties to the lower
+// node index). Exact; asymptotically much faster than enumeration on
+// chain- and tree-like networks. It is the documented oracle for package
+// dbn's direct scorer, which reproduces its factor-multiplication order
+// so that the two agree bit for bit.
 func (n *Network) PosteriorVE(query int, ev Evidence) ([]float64, error) {
 	if query < 0 || query >= len(n.nodes) {
 		return nil, fmt.Errorf("%w: query %d", ErrBadNode, query)
@@ -399,20 +332,4 @@ func sumAll(f *factor, pinned map[int]int, states func(int) int) float64 {
 	}
 	walk(0)
 	return total
-}
-
-// MAP returns the most probable state of query given evidence, along with
-// its posterior probability, using variable elimination.
-func (n *Network) MAP(query int, ev Evidence) (state int, prob float64, err error) {
-	dist, err := n.PosteriorVE(query, ev)
-	if err != nil {
-		return 0, 0, err
-	}
-	best := 0
-	for s, p := range dist {
-		if p > dist[best] {
-			best = s
-		}
-	}
-	return best, dist[best], nil
 }

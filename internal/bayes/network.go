@@ -1,12 +1,15 @@
 // Package bayes implements discrete Bayesian networks: directed acyclic
 // graphs of categorical variables with conditional probability tables,
 // maximum-likelihood learning with Laplace smoothing from complete data,
-// and exact inference by both enumeration and variable elimination.
+// and exact inference by variable elimination.
 //
 // It is the probabilistic substrate of Section 4: each of the paper's 22
 // pose classifiers is a small BN over the five body-part variables and
 // the eight observed area variables, and the dynamic extension threads
 // previous-pose and jump-stage variables through time (package dbn).
+// Those networks have a fixed naive-Bayes shape, so package dbn scores
+// them by direct Prob lookup; PosteriorVE is the general engine its
+// scorer is checked against, bit for bit, in tests.
 //
 // Networks are built by declaring nodes whose parents already exist, so
 // acyclicity holds by construction. "Quantitative training" (the paper's
@@ -230,30 +233,6 @@ func (n *Network) CPTRow(i, parentCfg int) []float64 {
 		out[s] = n.Prob(i, parentCfg, s)
 	}
 	return out
-}
-
-// JointLogProb returns the log joint probability of a complete assignment.
-func (n *Network) JointLogProb(assignment []int) (float64, error) {
-	if len(assignment) != len(n.nodes) {
-		return 0, fmt.Errorf("%w: got %d states for %d nodes", ErrIncomplete, len(assignment), len(n.nodes))
-	}
-	lp := 0.0
-	for i := range n.nodes {
-		row, err := n.parentConfig(i, assignment)
-		if err != nil {
-			return 0, err
-		}
-		s := assignment[i]
-		if s < 0 || s >= n.nodes[i].States {
-			return 0, fmt.Errorf("%w: node %q state %d", ErrBadState, n.nodes[i].Name, s)
-		}
-		p := n.Prob(i, row, s)
-		if p <= 0 {
-			return math.Inf(-1), nil
-		}
-		lp += math.Log(p)
-	}
-	return lp, nil
 }
 
 // TotalObservations returns the summed weight seen by Observe/Fit (taken

@@ -28,7 +28,6 @@ package dbn
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/bayes"
 	"repro/internal/keypoint"
@@ -196,10 +195,8 @@ func (c *Classifier) assignment(prev pose.Pose, stage pose.Stage, present bool, 
 	for i := 0; i < keypoint.NumParts; i++ {
 		out[nodePart0+i] = enc.Area[i]
 	}
-	for j, occ := range enc.OccupiedAreas() {
-		if occ {
-			out[c.nodeArea0()+j] = 1
-		}
+	for j := 0; j < c.cfg.Partitions; j++ {
+		out[c.nodeArea0()+j] = occupied(&enc, j+1)
 	}
 	if c.cfg.Rings > 0 {
 		for i := 0; i < keypoint.NumParts; i++ {
@@ -279,8 +276,11 @@ type Result struct {
 	Prob float64
 	// Stage is the jump-stage flag AFTER processing this frame.
 	Stage pose.Stage
-	// Scores lists every pose's posterior, descending.
-	Scores []Score
+	// Scores lists every pose's posterior P(pose present | evidence),
+	// descending, ties in pose order. Each posterior is bit-identical to
+	// bayes.Network.PosteriorVE on that pose's network (see score). It
+	// is an array so that classifying a frame allocates nothing.
+	Scores [pose.NumPoses]Score
 }
 
 // threshold returns the acceptance threshold for p.
@@ -338,7 +338,10 @@ func (s *Session) Stage() pose.Stage { return s.stage }
 // Prev returns the previous-pose input that the next frame will use.
 func (s *Session) Prev() pose.Pose { return s.prev }
 
-// Classify decodes one frame and advances the session state.
+// Classify decodes one frame and advances the session state. On error
+// the state does not advance.
+//
+//slj:hotpath
 func (s *Session) Classify(enc keypoint.Encoding) (Result, error) {
 	c := s.c
 	if !c.trained {
@@ -347,41 +350,17 @@ func (s *Session) Classify(enc keypoint.Encoding) (Result, error) {
 	sp := s.sc.Start(obs.StageClassify)
 	defer sp.End()
 	if enc.Partitions != c.cfg.Partitions || enc.Rings != c.cfg.Rings {
-		return Result{}, fmt.Errorf("%w: got %d partitions/%d rings, configured %d/%d",
+		return Result{}, fmt.Errorf("%w: got %d partitions/%d rings, configured %d/%d", //slj:alloc-ok cold error path, the frame is rejected
 			ErrBadEncoding, enc.Partitions, enc.Rings, c.cfg.Partitions, c.cfg.Rings)
 	}
-	scores := make([]Score, 0, pose.NumPoses)
-	for _, p := range pose.AllPoses() {
-		ev := bayes.Evidence{
-			nodePrev:  int(s.prev),
-			nodeStage: int(s.stage) - 1,
-		}
-		if c.cfg.UsePartEvidence {
-			for i := 0; i < keypoint.NumParts; i++ {
-				ev[nodePart0+i] = enc.Area[i]
-			}
-		}
-		if c.cfg.UseAreaEvidence {
-			for j, occ := range enc.OccupiedAreas() {
-				v := 0
-				if occ {
-					v = 1
-				}
-				ev[c.nodeArea0()+j] = v
-			}
-		}
-		if c.cfg.Rings > 0 {
-			for i := 0; i < keypoint.NumParts; i++ {
-				ev[c.nodeRing0()+i] = enc.Ring[i]
-			}
-		}
-		dist, err := c.nets[p].PosteriorVE(nodePose, ev)
-		if err != nil {
-			return Result{}, fmt.Errorf("dbn: scoring %v: %w", p, err)
-		}
-		scores = append(scores, Score{Pose: p, Prob: dist[1]})
+	if err := c.checkEvidence(&enc); err != nil {
+		return Result{}, err
 	}
-	sort.SliceStable(scores, func(i, j int) bool { return scores[i].Prob > scores[j].Prob })
+	var scores [pose.NumPoses]Score
+	for p := pose.Pose(1); p <= pose.Pose(pose.NumPoses); p++ {
+		scores[p-1] = Score{Pose: p, Prob: c.score(c.nets[p], int(s.prev), int(s.stage)-1, &enc)}
+	}
+	sortScores(&scores)
 
 	// Decision: best pose whose posterior clears its threshold; the
 	// dominant pose uses the (lower) ThDefault floor.

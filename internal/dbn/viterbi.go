@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bayes"
 	"repro/internal/keypoint"
 	"repro/internal/pose"
 )
@@ -40,36 +39,16 @@ func (c *Classifier) transitionProb(prev, cur pose.Pose) float64 {
 }
 
 // emissionScores returns, for one frame, P(pose present | features) for
-// every pose, using feature evidence only (previous pose and stage are
-// marginalised out, so the score is decoder-independent).
-func (c *Classifier) emissionScores(enc keypoint.Encoding) ([]float64, error) {
-	out := make([]float64, pose.NumPoses+1)
-	for _, p := range pose.AllPoses() {
-		ev := bayes.Evidence{}
-		if c.cfg.UsePartEvidence {
-			for i := 0; i < keypoint.NumParts; i++ {
-				ev[nodePart0+i] = enc.Area[i]
-			}
-		}
-		if c.cfg.UseAreaEvidence {
-			for j, occ := range enc.OccupiedAreas() {
-				v := 0
-				if occ {
-					v = 1
-				}
-				ev[c.nodeArea0()+j] = v
-			}
-		}
-		if c.cfg.Rings > 0 {
-			for i := 0; i < keypoint.NumParts; i++ {
-				ev[c.nodeRing0()+i] = enc.Ring[i]
-			}
-		}
-		dist, err := c.nets[p].PosteriorVE(nodePose, ev)
-		if err != nil {
-			return nil, fmt.Errorf("dbn: emission for %v: %w", p, err)
-		}
-		out[p] = dist[1]
+// every pose, indexed by Pose, using feature evidence only (previous
+// pose and stage are marginalised out, so the score is
+// decoder-independent). enc must already match the configuration.
+func (c *Classifier) emissionScores(enc keypoint.Encoding) ([pose.NumPoses + 1]float64, error) {
+	var out [pose.NumPoses + 1]float64
+	if err := c.checkEvidence(&enc); err != nil {
+		return out, err
+	}
+	for p := pose.Pose(1); p <= pose.Pose(pose.NumPoses); p++ {
+		out[p] = c.score(c.nets[p], -1, 0, &enc)
 	}
 	return out, nil
 }
@@ -87,9 +66,9 @@ func (c *Classifier) DecodeViterbi(encs []keypoint.Encoding) ([]pose.Pose, error
 		return nil, nil
 	}
 	for i, enc := range encs {
-		if enc.Partitions != c.cfg.Partitions {
-			return nil, fmt.Errorf("%w: frame %d has %d, configured %d",
-				ErrBadEncoding, i, enc.Partitions, c.cfg.Partitions)
+		if enc.Partitions != c.cfg.Partitions || enc.Rings != c.cfg.Rings {
+			return nil, fmt.Errorf("%w: frame %d has %d partitions/%d rings, configured %d/%d",
+				ErrBadEncoding, i, enc.Partitions, enc.Rings, c.cfg.Partitions, c.cfg.Rings)
 		}
 	}
 	nStates := pose.NumPoses
@@ -107,7 +86,7 @@ func (c *Classifier) DecodeViterbi(encs []keypoint.Encoding) ([]pose.Pose, error
 	for t := range encs {
 		emis, err := c.emissionScores(encs[t])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dbn: frame %d: %w", t, err)
 		}
 		delta[t] = make([]float64, nStates+1)
 		back[t] = make([]int, nStates+1)

@@ -36,6 +36,23 @@ func TestDecodeViterbiPartitionMismatch(t *testing.T) {
 	}
 }
 
+// TestDecodeViterbiRingsMismatch: a ring-configured classifier must
+// reject ring-less encodings (and vice versa) as Classify does, instead
+// of decoding them with every ring value read as 0.
+func TestDecodeViterbiRingsMismatch(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Rings = 3
+	r := rand.New(rand.NewSource(83))
+	ringed := randomlyTrained(t, cfg, r, 100)
+	if _, err := ringed.DecodeViterbi([]keypoint.Encoding{{Partitions: 8}}); !errors.Is(err, ErrBadEncoding) {
+		t.Errorf("rings 0 vs configured 3: err = %v, want ErrBadEncoding", err)
+	}
+	plain := trainedClassifier(t, DefaultConfig(), 2, 84)
+	if _, err := plain.DecodeViterbi([]keypoint.Encoding{{Partitions: 8, Rings: 3}}); !errors.Is(err, ErrBadEncoding) {
+		t.Errorf("rings 3 vs configured 0: err = %v, want ErrBadEncoding", err)
+	}
+}
+
 func TestDecodeViterbiAccuracy(t *testing.T) {
 	cfg := DefaultConfig()
 	c := trainedClassifier(t, cfg, 8, 83)
