@@ -23,10 +23,10 @@ import (
 	"os/signal"
 	"path/filepath"
 	"syscall"
-	"time"
 
 	slj "repro"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -43,23 +43,16 @@ func main() {
 		maxBody    = flag.Int64("max-body", serve.DefaultMaxBody, "request body cap in bytes")
 		modelCache = flag.Int("model-cache", 4, "per-request model registry capacity (engines cached by content hash)")
 		drain      = flag.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-shutdown bound for in-flight requests")
-		sample     = flag.Duration("sample-interval", time.Second, "metrics sampling and health re-evaluation period")
-		window     = flag.Int("sample-window", 300, "time-series ring capacity in samples")
-		logPath    = flag.String("log", "", "structured JSONL event log: file path, or - for stderr (disabled when empty)")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
+		stackCfg   obs.StackConfig
 	)
+	stackCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	if *data == "" && *model == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	st, err := serve.NewStack(serve.StackConfig{
-		SampleInterval: *sample,
-		SampleWindow:   *window,
-		LogPath:        *logPath,
-		LogLevel:       *logLevel,
-	})
+	st, err := obs.NewStack(stackCfg)
 	if err != nil {
 		log.Fatal(err)
 	}

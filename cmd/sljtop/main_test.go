@@ -11,13 +11,17 @@ import (
 	"repro/internal/obs"
 )
 
-// populatedRegistry builds a registry shaped like a real run.
-func populatedRegistry() *obs.Registry {
-	reg := obs.NewRegistry()
+// populatedScope builds a scope whose registry is shaped like a real
+// run. The parallel.* metrics are the scope's pull metrics, so they are
+// set through its ParallelStats block, as the engine sets them.
+func populatedScope() *obs.Scope {
+	sc := obs.NewScope(obs.NewRegistry())
+	par := sc.Parallel()
+	par.Items.Add(10)
+	par.StallNS.Add(1_000_000)
+	par.Workers.Set(4)
+	reg := sc.Registry()
 	reg.Counter("pipeline.frames").Add(650)
-	reg.Counter("parallel.items").Add(10)
-	reg.Counter("parallel.stall_ns").Add(1_000_000)
-	reg.Counter("parallel.workers_max").Add(4)
 	reg.Counter("pipeline.decided.stage3").Add(9)
 	reg.Counter("pipeline.unknown.stage3").Add(1)
 	reg.Counter("imaging.pool.hits").Add(640)
@@ -29,20 +33,21 @@ func populatedRegistry() *obs.Registry {
 			h.Observe(int64(50_000 + 1000*i))
 		}
 	}
-	return reg
+	return sc
 }
 
 // TestOnceAgainstLiveEndpoint starts a real obs server with a sampler
 // and checks that one fetch+render cycle — exactly what `sljtop -once`
 // does — produces the stage table and throughput lines.
 func TestOnceAgainstLiveEndpoint(t *testing.T) {
-	reg := populatedRegistry()
+	sc := populatedScope()
+	reg := sc.Registry()
 	smp := obs.NewSampler(reg, time.Hour, 8) // ticked by hand below
 	smp.Start()
 	defer smp.Stop()
 	smp.Tick()
 
-	srv, err := obs.ServeWith("127.0.0.1:0", obs.ServeConfig{Registry: reg, Sampler: smp})
+	srv, err := obs.ServeWith("127.0.0.1:0", &obs.Stack{Scope: sc, Sampler: smp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +87,8 @@ func TestOnceAgainstLiveEndpoint(t *testing.T) {
 // decode error breaching the decode_errors SLO — and checks the sljtop
 // alert row and the errors row both show the journal's trace ID.
 func TestAlertsPanelCarriesTraceID(t *testing.T) {
-	reg := populatedRegistry()
+	sc := populatedScope()
+	reg := sc.Registry()
 	reg.Counter("dataset.clips_streamed").Add(10)
 	journal := obs.NewJournal(reg, 64)
 	journal.Record(obs.ErrClassDecode, "t000042", "clip-bad", -1, "background: torn header")
@@ -97,8 +103,8 @@ func TestAlertsPanelCarriesTraceID(t *testing.T) {
 	smp.SetOnTick(health.Eval)
 	smp.Tick()
 
-	srv, err := obs.ServeWith("127.0.0.1:0", obs.ServeConfig{
-		Registry: reg, Sampler: smp, Journal: journal, Health: health,
+	srv, err := obs.ServeWith("127.0.0.1:0", &obs.Stack{
+		Scope: sc, Sampler: smp, Journal: journal, Health: health,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +141,7 @@ func TestAlertsPanelCarriesTraceID(t *testing.T) {
 
 // TestSnapshotMode renders an offline -metrics-out file with no server.
 func TestSnapshotMode(t *testing.T) {
-	reg := populatedRegistry()
+	reg := populatedScope().Registry()
 	path := filepath.Join(t.TempDir(), "metrics_snapshot.json")
 	f, err := os.Create(path)
 	if err != nil {

@@ -137,17 +137,12 @@ func componentsInto(sc *ComponentScratch, b *Binary, conn Connectivity) ([]int32
 	return labels, comps
 }
 
-// LargestComponent returns a copy of b that keeps only its largest
-// foreground region (ties broken by lowest label, i.e. scan order). The
-// extraction stage uses it to isolate the jumper from residual background
-// speckle. Returns an all-background image when b has no foreground.
-func LargestComponent(b *Binary, conn Connectivity) *Binary {
-	return LargestComponentInto(NewBinary(b.W, b.H), b, conn, nil)
-}
-
-// LargestComponentInto writes b's largest foreground region into dst,
-// which must be a zeroed image of b's size (NewBinary or GetBinary
-// provide one), and returns dst. sc (optionally nil) supplies reusable
+// LargestComponentInto keeps only b's largest foreground region (ties
+// broken by lowest label, i.e. scan order), writing it into dst, which
+// must be a zeroed image of b's size (NewBinary or GetBinary provide
+// one), and returns dst. The extraction stage uses it to isolate the
+// jumper from residual background speckle; dst stays all background
+// when b has no foreground. sc (optionally nil) supplies reusable
 // labelling scratch so the steady-state call allocates nothing.
 func LargestComponentInto(dst, b *Binary, conn Connectivity, sc *ComponentScratch) *Binary {
 	labels, comps := componentsInto(sc, b, conn)

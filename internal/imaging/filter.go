@@ -1,7 +1,5 @@
 package imaging
 
-import "sort"
-
 // MedianFilterBinary applies a k×k median filter to a binary image; k must be
 // odd and >= 1. For bi-level data the median reduces to majority voting, so
 // the filter fills pinholes and shaves ridged edges exactly as the paper uses
@@ -55,39 +53,6 @@ func MedianFilterBinaryInto(dst *Binary, src *Binary, k int) *Binary {
 			} else {
 				out.Pix[y*out.W+x] = 0
 			}
-		}
-	}
-	return out
-}
-
-// MedianFilterGray applies a k×k median filter to a grayscale image; k must
-// be odd. Border pixels use the in-bounds part of the window.
-func MedianFilterGray(src *Gray, k int) *Gray {
-	if k < 1 || k%2 == 0 {
-		panic("imaging.MedianFilterGray: kernel size must be odd and positive")
-	}
-	out := NewGray(src.W, src.H)
-	r := k / 2
-	window := make([]uint8, 0, k*k)
-	for y := 0; y < src.H; y++ {
-		for x := 0; x < src.W; x++ {
-			window = window[:0]
-			for dy := -r; dy <= r; dy++ {
-				yy := y + dy
-				if yy < 0 || yy >= src.H {
-					continue
-				}
-				row := src.Pix[yy*src.W:]
-				for dx := -r; dx <= r; dx++ {
-					xx := x + dx
-					if xx < 0 || xx >= src.W {
-						continue
-					}
-					window = append(window, row[xx])
-				}
-			}
-			sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-			out.Pix[y*out.W+x] = window[len(window)/2]
 		}
 	}
 	return out

@@ -299,27 +299,6 @@ func TestMedianFilterBinaryPanicsOnEvenKernel(t *testing.T) {
 	MedianFilterBinary(NewBinary(3, 3), 2)
 }
 
-func TestMedianFilterGray(t *testing.T) {
-	g := NewGray(3, 3)
-	g.Fill(100)
-	g.Set(1, 1, 255) // hot pixel
-	out := MedianFilterGray(g, 3)
-	if out.At(1, 1) != 100 {
-		t.Errorf("median should suppress the hot pixel, got %d", out.At(1, 1))
-	}
-}
-
-func TestMedianFilterGrayIdentityOnConstant(t *testing.T) {
-	g := NewGray(8, 8)
-	g.Fill(42)
-	out := MedianFilterGray(g, 5)
-	for _, v := range out.Pix {
-		if v != 42 {
-			t.Fatal("median of constant image changed a pixel")
-		}
-	}
-}
-
 func TestBoxAverageRGBWindow1IsIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	m := NewRGB(13, 9)
@@ -523,7 +502,7 @@ func TestLargestComponent(t *testing.T) {
 .......
 #......
 `)
-	out := LargestComponent(b, Connect8)
+	out := LargestComponentInto(NewBinary(b.W, b.H), b, Connect8, nil)
 	if out.Count() != 4 {
 		t.Fatalf("largest component size = %d, want 4", out.Count())
 	}
@@ -533,7 +512,7 @@ func TestLargestComponent(t *testing.T) {
 }
 
 func TestLargestComponentEmpty(t *testing.T) {
-	out := LargestComponent(NewBinary(4, 4), Connect8)
+	out := LargestComponentInto(NewBinary(4, 4), NewBinary(4, 4), Connect8, nil)
 	if out.Count() != 0 {
 		t.Fatal("largest component of empty image should be empty")
 	}

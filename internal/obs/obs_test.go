@@ -252,7 +252,7 @@ func TestTracerJSONL(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("served.metric").Add(7)
-	srv, err := ServeWith("127.0.0.1:0", ServeConfig{Registry: reg})
+	srv, err := ServeWith("127.0.0.1:0", &Stack{Scope: NewScope(reg)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Registry is a named collection of instruments. Counter/Gauge/Histogram
@@ -168,16 +169,23 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return nil
 }
 
+// expvarRegs maps each expvar name PublishExpvar has published to the
+// registry it currently shows.
+var expvarRegs sync.Map // string → *atomic.Pointer[Registry]
+
 // PublishExpvar exposes the registry under the given expvar name (the
-// standard /debug/vars page). Publishing the same name twice is a no-op
-// (expvar panics on duplicates, so the second registration is skipped).
-// No-op on a nil registry.
+// standard /debug/vars page). expvar names are process-global and
+// cannot be unpublished, so publishing the same name again re-points it
+// at the latest registry: a process that rebuilds its observability
+// stack shows the live one, not the first. No-op on a nil registry.
 func (r *Registry) PublishExpvar(name string) {
 	if r == nil {
 		return
 	}
-	if expvar.Get(name) != nil {
-		return
+	v, loaded := expvarRegs.LoadOrStore(name, new(atomic.Pointer[Registry]))
+	cur := v.(*atomic.Pointer[Registry])
+	cur.Store(r)
+	if !loaded {
+		expvar.Publish(name, expvar.Func(func() any { return cur.Load().Snapshot() }))
 	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

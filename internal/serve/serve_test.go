@@ -15,6 +15,7 @@ import (
 
 	slj "repro"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
@@ -384,7 +385,7 @@ func TestModelRegistry(t *testing.T) {
 // with 200) while new arrivals during the drain are shed.
 func TestGracefulClose(t *testing.T) {
 	eng := trainedEngine(t, 2, 67)
-	st, err := NewStack(StackConfig{SampleInterval: 20 * time.Millisecond, SampleWindow: 16})
+	st, err := obs.NewStack(obs.StackConfig{SampleInterval: 20 * time.Millisecond, SampleWindow: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +461,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestDebugEndpointsMounted: the obs surface rides the same mux.
 func TestDebugEndpointsMounted(t *testing.T) {
-	st, err := NewStack(StackConfig{SampleInterval: 20 * time.Millisecond, SampleWindow: 16})
+	st, err := obs.NewStack(obs.StackConfig{SampleInterval: 20 * time.Millisecond, SampleWindow: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

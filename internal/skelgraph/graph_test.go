@@ -393,30 +393,6 @@ func TestNodePathDisconnected(t *testing.T) {
 	}
 }
 
-func TestLongestPath(t *testing.T) {
-	// T-shape: longest path is the horizontal bar (20) not via the
-	// short stem (5).
-	img := imaging.NewBinary(20, 10)
-	for x := 0; x < 20; x++ {
-		img.Set(x, 0, 1)
-	}
-	for y := 1; y < 6; y++ {
-		img.Set(10, y, 1)
-	}
-	g := build(t, img)
-	path, from, to, ok := g.LongestPath()
-	if !ok {
-		t.Fatal("no longest path")
-	}
-	if len(path) != 20 {
-		t.Fatalf("longest path length = %d, want 20", len(path))
-	}
-	ys := []int{g.Nodes[from].P.Y, g.Nodes[to].P.Y}
-	if ys[0] != 0 || ys[1] != 0 {
-		t.Errorf("longest path terminals at y=%v, want both 0", ys)
-	}
-}
-
 func TestToBinaryRoundTripSimple(t *testing.T) {
 	img := imaging.NewBinary(15, 15)
 	for i := 0; i < 15; i++ {
@@ -536,24 +512,6 @@ func TestHumanSilhouettePipeline(t *testing.T) {
 	ends := g.Endpoints()
 	if len(ends) < 5 {
 		t.Errorf("endpoints = %d, want >= 5 (head, hands, feet)", len(ends))
-	}
-	// The longest path should run roughly head-to-foot: vertical span
-	// must cover most of the figure.
-	path, _, _, ok := g.LongestPath()
-	if !ok {
-		t.Fatal("no longest path")
-	}
-	minY, maxY := 1000, -1
-	for _, p := range path {
-		if p.Y < minY {
-			minY = p.Y
-		}
-		if p.Y > maxY {
-			maxY = p.Y
-		}
-	}
-	if maxY-minY < 70 {
-		t.Errorf("longest path vertical span = %d, want >= 70", maxY-minY)
 	}
 }
 

@@ -246,58 +246,6 @@ func (g *Graph) PixelPath(a, b int) ([]imaging.Point, bool) {
 	return out, true
 }
 
-// LongestPath returns the pixel path of the tree diameter (longest simple
-// path by pixel count) of the largest component, plus its two terminal
-// node indices. For a human skeleton this is typically the head-to-foot
-// line. Returns ok=false on a graph with no live segments.
-func (g *Graph) LongestPath() (path []imaging.Point, from, to int, ok bool) {
-	live := g.LiveSegments()
-	if len(live) == 0 {
-		return nil, 0, 0, false
-	}
-	// Double sweep: farthest node from an arbitrary start, then farthest
-	// from that. Weight = pixel length of segments. Correct on trees.
-	start := g.Segments[live[0]].A
-	u, _ := g.farthestFrom(start)
-	v, _ := g.farthestFrom(u)
-	p, pok := g.PixelPath(u, v)
-	if !pok {
-		return nil, 0, 0, false
-	}
-	return p, u, v, true
-}
-
-// farthestFrom returns the node at maximum pixel distance from start in
-// start's component, measured along tree paths.
-func (g *Graph) farthestFrom(start int) (node, dist int) {
-	dists := make([]int, len(g.Nodes))
-	for i := range dists {
-		dists[i] = -1
-	}
-	dists[start] = 0
-	queue := []int{start}
-	best, bestD := start, 0
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, si := range g.Nodes[cur].Segs {
-			if g.dead[si] {
-				continue
-			}
-			nxt := otherEnd(g.Segments[si], cur)
-			if dists[nxt] != -1 {
-				continue
-			}
-			dists[nxt] = dists[cur] + g.Segments[si].Len() - 1
-			if dists[nxt] > bestD {
-				best, bestD = nxt, dists[nxt]
-			}
-			queue = append(queue, nxt)
-		}
-	}
-	return best, bestD
-}
-
 // Components returns the node sets of each connected component that has at
 // least one live segment or is an isolated node with degree > 0 (i.e.
 // nodes stranded with no segments are skipped).
